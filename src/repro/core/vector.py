@@ -16,10 +16,13 @@ space trivial):
   for the wave's updates (usable as generator hints),
 * :func:`update_wave` — the **vectorized critical sections**: partition
   the wave's updates into conflict-free groups (distinct target chunks,
-  no split/merge/boundary hazards) and execute each group's
+  no split/merge/boundary hazards) and execute every group's
   lock-acquire → modify → publish sequence as three batched accesses
   against :class:`~repro.gpu.memory.GlobalMemory`, falling back to the
-  per-op generator for everything else.
+  per-op generator for everything else.  Eligibility and the published
+  chunk images are computed for all groups at once by segmented
+  reductions over the wave (:func:`_batch_clusters`), never one group
+  at a time.
 
 All in-flight searches advance in lock-step: each iteration gathers
 every search's current chunk with one numpy fancy-index and computes
@@ -52,7 +55,9 @@ records one coalesced chunk access *per in-flight op* through
 each batched critical-section phase records one batch (lock CAS /
 re-read under lock / publish store) for the whole group — so the cost
 model sees batched updates as the three memory phases a real
-warp-cooperative update kernel would issue.
+warp-cooperative update kernel would issue.  Those batches list their
+chunks in ascending ``(shard, chunk)`` order; the L2 model is an LRU,
+so that order is part of the modeled clock and is kept fixed.
 """
 
 from __future__ import annotations
@@ -61,7 +66,6 @@ import numpy as np
 
 from ..gpu.scheduler import run_to_completion
 from . import constants as C
-from .chunk import pack_next
 
 _DOWN, _LATERAL = 0, 1
 
@@ -303,6 +307,20 @@ def _count_per_owner(sls, owner: np.ndarray, idx_all: np.ndarray,
     return total
 
 
+def _search_fallback(sls, owner, keys, tracer, fallback, found,
+                     paths) -> None:
+    """Fill ``found``/``paths`` for the ops the lock-step traversal gave
+    up on by running their scalar ``search_slow``."""
+    from .traversal import search_slow
+    for i in fallback:
+        s = sls[int(owner[i])]
+        f, p = run_to_completion(search_slow(s, int(keys[i])),
+                                 s.ctx.mem, tracer)
+        found[i] = f
+        p = np.asarray(p, dtype=np.int64)
+        paths[i, : p.size] = p
+
+
 # ---------------------------------------------------------------------------
 # Read kernels
 # ---------------------------------------------------------------------------
@@ -344,14 +362,7 @@ def search_multi(sls, owner, keys: np.ndarray, tracer=None):
     _check_keys(sls[0], keys)
     found, paths, _upper, fallback, diag = _traverse(
         sls, owner, keys, tracer, record_path=True)
-    from .traversal import search_slow
-    for i in fallback:
-        s = sls[int(owner[i])]
-        f, p = run_to_completion(search_slow(s, int(keys[i])),
-                                 s.ctx.mem, tracer)
-        found[i] = f
-        p = np.asarray(p, dtype=np.int64)
-        paths[i, : p.size] = p
+    _search_fallback(sls, owner, keys, tracer, fallback, found, paths)
     _publish_diag(diag)
     return found, paths
 
@@ -378,61 +389,79 @@ def vector_search(sl, keys: np.ndarray, tracer=None):
 # The vectorized update critical sections
 # ---------------------------------------------------------------------------
 
-def _batchable(geo, W, op_sel, key_sel, mask32):
-    """Decide whether one target chunk's operation group can be executed
-    batched under every sequential schedule.  Returns the live entries
-    on success, None on any hazard (the conflict-group contract of
-    DESIGN.md §12)."""
-    if int(W[geo.lock_idx]) != C.UNLOCKED:      # locked or zombie
-        return None
-    dk = (W[: geo.dsize] & mask32).astype(np.int64)
+def _batch_clusters(geo, words, chunk_bases, owner, ops, keys, values,
+                    idx, tgt):
+    """Decide conflict-group eligibility and build the published image of
+    every target chunk of the wave in one segmented array pass.
+
+    ``idx`` are the candidate op indices (ascending) and ``tgt`` their
+    bottom-level target chunks; ops are clustered by ``(shard, chunk)``.
+    Per-op flags reduced per cluster with ``np.bincount`` implement the
+    conflict-group contract of DESIGN.md §12.  Returns ``(batched,
+    shard, addrs, images)``: the op indices resolved by batching, then
+    per batched cluster its shard, chunk address and ``n``-word image,
+    in ascending ``(shard, chunk)`` order.
+    """
+    mask32 = np.uint64(C.MASK32)
+    dsize, n = geo.dsize, geo.n
+    cid, inv = np.unique(owner[idx] * np.int64(2**32) + tgt,
+                         return_inverse=True)
+    G = int(cid.size)
+    shard = cid >> np.int64(32)
+    addrs = chunk_bases[shard] + (cid & np.int64(C.MASK32)) * n
+    W = words[addrs[:, None] + np.arange(n, dtype=np.int64)]
+    dk = (W[:, :dsize] & mask32).astype(np.int64)
     live = dk != C.EMPTY_KEY
-    if not bool(((dk != C.EMPTY_KEY) & (dk != C.NEG_INF_KEY)).any()):
-        return None                             # head-counter discipline
-    nlive = int(np.count_nonzero(live))
-    ins = op_sel == _OP_INSERT
-    n_ins = int(np.count_nonzero(ins))
-    n_del = int(op_sel.size) - n_ins
-    if nlive + n_ins > geo.dsize:               # a schedule could split
-        return None
-    if nlive - n_del <= geo.merge_threshold:    # a schedule could merge
-        return None
-    maxf = int(W[geo.next_idx] & mask32)
-    if bool((key_sel > maxf).any()):            # stale enclosure hint
-        return None
-    dk_live = dk[live]
-    ins_present = np.isin(key_sel[ins], dk_live)
-    del_absent = ~np.isin(key_sel[~ins], dk_live)
-    if bool(ins_present.any()) or bool(del_absent.any()):
-        return None                             # stale presence hint
-    if n_ins and bool((key_sel[~ins] == maxf).any()):
-        return None            # boundary-delete + insert: order-sensitive
-    return W[: geo.dsize][live]
+    maxf = (W[:, geo.next_idx] & mask32).astype(np.int64)
 
+    def per_cluster(flags):
+        return np.bincount(inv[flags], minlength=G)
 
-def _chunk_image(geo, entries, op_sel, key_sel, val_sel, maxf: int,
-                 nxt: int, mask32) -> np.ndarray:
-    """The chunk's published word image after applying the group: live
-    entries minus deletes plus inserts, sorted, EMPTY-padded, boundary
-    lowered to the highest remaining key iff the boundary key was
-    deleted, lock released."""
-    ins = op_sel == _OP_INSERT
-    del_keys = key_sel[~ins]
-    ekeys = (entries & mask32).astype(np.int64)
-    kept = entries[~np.isin(ekeys, del_keys)]
-    if ins.any():
-        new = (key_sel[ins].astype(np.uint64)
-               | (val_sel[ins].astype(np.uint64) << np.uint64(32)))
-        kept = np.concatenate([kept, new])
-    kept = kept[np.argsort((kept & mask32).astype(np.int64),
-                           kind="stable")]
-    img = np.full(geo.n, np.uint64(C.EMPTY_KV), dtype=np.uint64)
-    img[: kept.size] = kept
-    if bool((del_keys == maxf).any()):
-        maxf = int((kept[-1] & mask32))
-    img[geo.next_idx] = np.uint64(pack_next(maxf, nxt))
-    img[geo.lock_idx] = np.uint64(C.UNLOCKED)
-    return img
+    kk = keys[idx]
+    ins = ops[idx] == _OP_INSERT
+    hit = live[inv] & (dk[inv] == kk[:, None])   # op key vs its chunk row
+    present = hit.any(axis=1)
+    bnd = per_cluster(~ins & (kk == maxf[inv]))  # boundary-key deletes
+    nlive = np.count_nonzero(live, axis=1)
+    n_ins = per_cluster(ins)
+    ok = ((W[:, geo.lock_idx] == np.uint64(C.UNLOCKED))  # not locked/zombie
+          & (live & (dk != C.NEG_INF_KEY)).any(axis=1)   # head counters
+          & (nlive + n_ins <= dsize)                     # no split
+          & (nlive - per_cluster(~ins) > geo.merge_threshold)  # no merge
+          & (per_cluster(kk > maxf[inv]) == 0)           # fresh enclosure
+          & (per_cluster(ins == present) == 0)           # fresh presence
+          & ((n_ins == 0) | (bnd == 0)))  # boundary delete is order-safe
+    op_ok = ok[inv]
+    gok = np.nonzero(ok)[0]
+
+    # Kept entries (live, no delete of their cluster hits them) plus the
+    # inserts, sorted by (cluster, key) — stable, so ties keep chunk
+    # order then op order — and scattered by rank into EMPTY_KV rows.
+    drop = np.zeros_like(live)
+    dr, dc = np.nonzero(hit & (op_ok & ~ins)[:, None])
+    drop[inv[dr], dc] = True
+    kr, kc = np.nonzero(live & ~drop & ok[:, None])
+    new = op_ok & ins
+    grp = np.concatenate([kr, inv[new]])
+    ekey = np.concatenate([dk[kr, kc], kk[new]])
+    word = np.concatenate([W[kr, kc],
+                           kk[new].astype(np.uint64)
+                           | (values[idx[new]].astype(np.uint64)
+                              << np.uint64(32))])
+    order = np.lexsort((ekey, grp))
+    grp, ekey, word = grp[order], ekey[order], word[order]
+    row = np.searchsorted(gok, grp)
+    first = np.searchsorted(grp, gok)
+    images = np.full((gok.size, n), np.uint64(C.EMPTY_KV), dtype=np.uint64)
+    images[row, np.arange(grp.size) - first[row]] = word
+    # The boundary falls to the highest kept key iff the old max was
+    # deleted; the NEXT pointer half and the released lock are rewritten.
+    last = np.searchsorted(grp, gok, side="right") - 1
+    newmax = np.where(bnd[gok] > 0, ekey[last], maxf[gok])
+    images[:, geo.next_idx] = ((W[gok, geo.next_idx] & ~mask32)
+                               | newmax.astype(np.uint64))
+    images[:, geo.lock_idx] = np.uint64(C.UNLOCKED)
+    return idx[op_ok], shard[gok], addrs[gok], images
 
 
 def update_wave(sls, owner, ops: np.ndarray, keys: np.ndarray,
@@ -452,10 +481,14 @@ def update_wave(sls, owner, ops: np.ndarray, keys: np.ndarray,
     group can split (``nlive + inserts <= dsize``) or merge
     (``nlive - deletes > merge_threshold``), hints are fresh, deletes
     have no upper-level copies, and no boundary-key delete mixes with
-    inserts.  Each batched group then costs one scalar atomic lock CAS,
-    one coalesced chunk re-read under the lock, and one coalesced
-    publish store (data + boundary + lock release in one chunk-wide
-    image) — charged per group, not per word.
+    inserts.  :func:`_batch_clusters` decides this for every cluster of
+    the wave at once and builds all published images in the same pass.
+    Each batched group then costs one scalar atomic lock CAS, one
+    coalesced chunk re-read under the lock, and one coalesced publish
+    store (data + boundary + lock release in one chunk-wide image) —
+    charged per group, not per word.  The groups are charged in
+    ascending ``(shard, chunk)`` order: the L2 model is an LRU, so that
+    order is part of the modeled clock.
     """
     keys = np.asarray(keys, dtype=np.int64)
     ops = np.asarray(ops, dtype=np.int64)
@@ -471,70 +504,34 @@ def update_wave(sls, owner, ops: np.ndarray, keys: np.ndarray,
     _check_keys(sls[0], keys)
     found, paths, upper, fallback, diag = _traverse(
         sls, owner, keys, tracer, record_path=True, track_upper=True)
+    _search_fallback(sls, owner, keys, tracer, fallback, found, paths)
 
     clean = np.ones(m, dtype=bool)
-    from .traversal import search_slow
-    for i in fallback:
-        s = sls[int(owner[i])]
-        f, p = run_to_completion(search_slow(s, int(keys[i])),
-                                 s.ctx.mem, tracer)
-        found[i] = f
-        p = np.asarray(p, dtype=np.int64)
-        paths[i, : p.size] = p
-        clean[i] = False
-
+    clean[fallback] = False
     results = np.zeros(m, dtype=bool)
-    handled = np.zeros(m, dtype=bool)
     # Trivially-false outcomes: the generator answers these from the
     # (hinted) search result before taking any lock, so resolving them
     # here is charge- and counter-identical.
-    trivial = clean & (((ops == _OP_INSERT) & found)
+    handled = clean & (((ops == _OP_INSERT) & found)
                        | ((ops == _OP_DELETE) & ~found))
-    handled |= trivial
-
-    cand = clean & ~trivial
+    cand = clean & ~handled
     cand &= ~((ops == _OP_DELETE) & upper)   # upper copies: level sweep
     idx = np.nonzero(cand)[0]
 
     words = sls[0].ctx.mem.raw()
+    S = len(sls)
     chunk_bases = np.fromiter((s.layout.chunks_base for s in sls),
-                              dtype=np.int64, count=len(sls))
-    mask32 = np.uint64(C.MASK32)
+                              dtype=np.int64, count=S)
     n = geo.n
-    batched_addrs: list[int] = []
-    images: list[np.ndarray] = []
-    per_shard_groups = np.zeros(len(sls), dtype=np.int64)
-    per_shard_ins = np.zeros(len(sls), dtype=np.int64)
-    per_shard_del = np.zeros(len(sls), dtype=np.int64)
+    batched, shard, addrs, images = _batch_clusters(
+        geo, words, chunk_bases, owner, ops, keys, values, idx,
+        paths[idx, 0])
+    handled[batched] = True
+    results[batched] = True
 
-    if idx.size:
-        tgt = paths[idx, 0]
-        cluster = owner[idx] * np.int64(2**32) + tgt
-        for cid in np.unique(cluster):
-            sel = idx[cluster == cid]
-            si = int(owner[sel[0]])
-            addr = int(chunk_bases[si] + paths[sel[0], 0] * n)
-            W = words[addr: addr + n]
-            op_sel, key_sel = ops[sel], keys[sel]
-            entries = _batchable(geo, W, op_sel, key_sel, mask32)
-            if entries is None:
-                continue
-            maxf = int(W[geo.next_idx] & mask32)
-            nxt = int(W[geo.next_idx] >> np.uint64(32))
-            images.append(_chunk_image(geo, entries, op_sel, key_sel,
-                                       values[sel], maxf, nxt, mask32))
-            batched_addrs.append(addr)
-            handled[sel] = True
-            results[sel] = True
-            n_ins = int(np.count_nonzero(op_sel == _OP_INSERT))
-            per_shard_groups[si] += 1
-            per_shard_ins[si] += n_ins
-            per_shard_del[si] += len(sel) - n_ins
-
-    if batched_addrs:
-        addrs = np.asarray(batched_addrs, dtype=np.int64)
+    if addrs.size:
         g = int(addrs.size)
-        n_batched = int(per_shard_ins.sum() + per_shard_del.sum())
+        n_batched = int(batched.size)
         if tracer is not None:
             # Phase 1 — lock acquire: one scalar atomic CAS per group.
             tracer.access_words_batch(addrs + geo.lock_idx, 1,
@@ -554,23 +551,26 @@ def update_wave(sls, owner, ops: np.ndarray, keys: np.ndarray,
             mgr = sls[0].ctx._epochs
             if mgr is not None:
                 mgr.note_publish("batch_wave")
-        words[addrs[:, None] + np.arange(n, dtype=np.int64)] = \
-            np.stack(images)
+        words[addrs[:, None] + np.arange(n, dtype=np.int64)] = images
         if tracer is not None:
             # Phase 3 — publish: one coalesced chunk-wide store carrying
             # data, boundary, and lock release.
             tracer.access_words_batch(addrs, n, coalesced=True)
             tracer.record_compute(g)
             tracer.record_compute(n_batched)   # the modify work itself
+        groups = np.bincount(shard, minlength=S)
+        is_ins = ops[batched] == _OP_INSERT
+        n_ins = np.bincount(owner[batched[is_ins]], minlength=S)
+        n_del = np.bincount(owner[batched[~is_ins]], minlength=S)
         for si, s in enumerate(sls):
-            if per_shard_groups[si]:
-                s.op_stats.inserts += int(per_shard_ins[si])
-                s.op_stats.deletes += int(per_shard_del[si])
+            if groups[si]:
+                s.op_stats.inserts += int(n_ins[si])
+                s.op_stats.deletes += int(n_del[si])
                 mc = getattr(s, "metrics", None)
                 if mc is not None:
-                    mc.lock_acquired += int(per_shard_groups[si])
-                    mc.lock_released += int(per_shard_groups[si])
-                    mc.chunk_reads += int(per_shard_groups[si])
+                    mc.lock_acquired += int(groups[si])
+                    mc.lock_released += int(groups[si])
+                    mc.chunk_reads += int(groups[si])
         diag["batched"] = n_batched
     diag["fallback_conflict"] = int(np.count_nonzero(~handled))
     _publish_diag(diag)

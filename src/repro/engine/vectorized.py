@@ -222,7 +222,6 @@ class VectorizedBackend:
         spans = m.spans if m is not None else None
         n_waves = 0
 
-        can_search = can_vector and hasattr(structure, "vector_search")
         can_update = can_vector and hasattr(structure, "vector_update_wave")
         gen_ops = 0
         for wave in waves:
@@ -256,18 +255,13 @@ class VectorizedBackend:
                         structure.vector_update_wave(
                             batch.ops[rest], batch.keys[rest],
                             batch.values[rest], tracer=ctx.tracer)
-                    for row, i in enumerate(rest.tolist()):
-                        if handled[row]:
-                            results[i] = bool(ures[row])
-                        else:
-                            hints[i] = (bool(ufound[row]),
-                                        upaths[row].tolist())
+                    for i, r in zip(rest[handled].tolist(),
+                                    ures[handled].tolist()):
+                        results[i] = r
                     rest = rest[~handled]
-                elif can_search and rest.size:
-                    ufound, upaths = structure.vector_search(
-                        batch.keys[rest], tracer=ctx.tracer)
-                    for row, i in enumerate(rest.tolist()):
-                        hints[i] = (bool(ufound[row]), upaths[row].tolist())
+                    hints = dict(zip(rest.tolist(),
+                                     zip(ufound[~handled].tolist(),
+                                         upaths[~handled].tolist())))
             if rest.size:
                 gen_ops += int(rest.size)
                 tasks = [(i, self._op_gen(structure, batch, i, hints))
@@ -295,8 +289,8 @@ class VectorizedBackend:
     @staticmethod
     def _op_gen(structure: ConcurrentMap, batch: OpBatch, i: int,
                 hints: dict) -> Generator:
-        """One update op's generator, with its precomputed search hint
-        when the structure supports vectorized search."""
+        """One update op's generator, with the search hint the wave's
+        ``vector_update_wave`` call precomputed for it, if any."""
         op = int(batch.ops[i])
         key = int(batch.keys[i])
         hint = hints.get(i)
