@@ -62,11 +62,7 @@ def bulk_build_into(sl, items, rng: np.random.Generator | None = None,
         raise ValueError("bulk build keys must be unique")
 
     per_chunk = _per_chunk(geo, fill)
-    # Bounded view: the chunk region ends at capacity, not at the end of
-    # device memory — another co-located instance may live right after.
-    pool_view = mem.raw()[lay.chunks_base: lay.chunks_base
-                          + lay.capacity_chunks * geo.n
-                          ].reshape(lay.capacity_chunks, geo.n)
+    pool_view = lay.chunk_rows(mem)
     next_free = lay.max_level  # chunks 0..max_level-1 are the initial ones
     level_counts: list[int] = []
 

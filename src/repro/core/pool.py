@@ -98,6 +98,14 @@ class StructureLayout:
             raise IndexError(f"chunk pointer {ptr} out of pool range")
         return self.chunks_base + ptr * self.geo.n
 
+    def chunk_rows(self, mem: GlobalMemory) -> np.ndarray:
+        """Zero-copy ``(capacity, n)`` view of the chunk region.  It ends
+        at capacity, not at the end of device memory: another co-located
+        instance may live right after."""
+        region = mem.raw()[self.chunks_base:
+                           self.chunks_base + self.capacity_chunks * self.geo.n]
+        return region.reshape(self.capacity_chunks, self.geo.n)
+
     def entry_addr(self, ptr: int, entry: int) -> int:
         return self.chunk_addr(ptr) + entry
 
@@ -133,9 +141,7 @@ class ChunkPool:
         lay = self.layout
         geo = lay.geo
         allocated = min(self.allocated(mem), lay.capacity_chunks)
-        region = mem.raw()[lay.chunks_base: lay.chunks_base
-                           + allocated * geo.n]
-        chunks = region.reshape(allocated, geo.n)
+        chunks = lay.chunk_rows(mem)[:allocated]
         live = chunks[:, geo.lock_idx] != np.uint64(C.ZOMBIE)
         dk = (chunks[:, : geo.dsize]
               & np.uint64(C.MASK32)).astype(np.int64)
@@ -180,9 +186,7 @@ class ChunkPool:
         pattern[: geo.dsize] = np.uint64(C.EMPTY_KV)
         pattern[geo.next_idx] = np.uint64(C.pack_kv(C.EMPTY_KEY, C.NULL_PTR))
         pattern[geo.lock_idx] = np.uint64(C.LOCKED)
-        region = mem.raw()[lay.chunks_base: lay.chunks_base
-                           + lay.capacity_chunks * geo.n]
-        region.reshape(lay.capacity_chunks, geo.n)[:, :] = pattern
+        lay.chunk_rows(mem)[:, :] = pattern
         mem.write_word(lay.pool_ctr_addr, 0)
 
     def allocated(self, mem: GlobalMemory) -> int:

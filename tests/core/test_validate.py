@@ -136,3 +136,33 @@ def test_helpers():
     assert count_zombies(sl) == 0
     assert len(level_items(sl, 0)) == len(sl.keys())
     assert structure_height(sl) == validate_structure(sl)["height"]
+
+
+def test_reports_next_pointer_outside_pool():
+    sl = healthy()
+    ptr = first_data_chunk(sl)
+    kvs = sl.ctx.mem.read_range(sl.layout.chunk_addr(ptr), sl.geo.n)
+    max_f = int(kvs[sl.geo.next_idx]) & C.MASK32
+    bad = sl.layout.capacity_chunks + 5
+    sl.ctx.mem.write_word(sl.layout.entry_addr(ptr, sl.geo.next_idx),
+                          pack_next(max_f, bad))
+    with pytest.raises(InvariantViolation,
+                       match=f"level 0 chunk {ptr}: next pointer {bad} is "
+                             f"outside the pool"):
+        validate_structure(sl)
+    with pytest.raises(InvariantViolation, match="outside the pool"):
+        sl.items()
+
+
+def test_reports_down_pointer_outside_pool():
+    sl = healthy()
+    ptr = first_data_chunk(sl, level=1)
+    kvs = sl.ctx.mem.read_range(sl.layout.chunk_addr(ptr), sl.geo.n)
+    key0 = int(kvs[0]) & C.MASK32
+    bad = sl.layout.capacity_chunks
+    sl.ctx.mem.write_word(sl.layout.entry_addr(ptr, 0),
+                          C.pack_kv(key0, bad))
+    with pytest.raises(InvariantViolation,
+                       match=f"level 1 chunk {ptr}: down pointer {bad} of "
+                             f"key {key0} is outside the pool"):
+        validate_structure(sl)
