@@ -28,7 +28,8 @@ All in-flight searches advance in lock-step: each iteration gathers
 every search's current chunk with one numpy fancy-index and computes
 every team's ballot decision with one vectorized comparison, exactly
 the semantics of Algorithms 4.2–4.4/4.6 (``search_down`` +
-``search_lateral``) but many ops wide.
+``search_lateral``) but many ops wide.  The in-flight searches are kept
+as compacted arrays; a search leaves them the step it finishes.
 
 The kernels require quiescent memory (the wave's update ops have not
 started), which is what makes the lock-free restart path unreachable;
@@ -49,25 +50,29 @@ generator.  Fallback hints stay valid across the batched phase because
 batched groups never change chunk linkage and wave keys are distinct —
 a hint chunk is re-walked laterally and re-validated under the lock.
 
-Tracer accounting is preserved per wave step: each traversal iteration
-records one coalesced chunk access *per in-flight op* through
-:meth:`~repro.gpu.tracer.TransactionTracer.access_words_batch`, and
-each batched critical-section phase records one batch (lock CAS /
-re-read under lock / publish store) for the whole group — so the cost
-model sees batched updates as the three memory phases a real
-warp-cooperative update kernel would issue.  Those batches list their
-chunks in ascending ``(shard, chunk)`` order; the L2 model is an LRU,
-so that order is part of the modeled clock and is kept fixed.
+Tracer accounting is one call per kernel, with the cost of one call
+per wave step: each traversal iteration is one segment of one
+coalesced chunk access *per in-flight op*, and each batched
+critical-section phase one segment (lock CAS / re-read under lock /
+publish store) for the whole group — so the cost model sees batched
+updates as the three memory phases a real warp-cooperative update
+kernel would issue.  A kernel collects its segments and charges them in
+one :meth:`~repro.gpu.tracer.TransactionTracer.access_words_batch`
+call at its end, or earlier right before a fallback generator charges
+the same tracer; line and page de-duplication stays per segment.  The
+L2 model is an LRU, so issue order is part of the modeled clock and is
+kept: segments in issue order, and the phases' chunks in ascending
+``(shard, chunk)`` order.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 
 from ..gpu.scheduler import run_to_completion
 from . import constants as C
-
-_DOWN, _LATERAL = 0, 1
 
 # Op codes of repro.engine.batch / repro.workloads.generator, restated
 # locally to keep core free of engine imports.
@@ -95,26 +100,65 @@ def _publish_diag(diag: dict) -> None:
     last_call_diag = diag
 
 
-def _highest_true_lane(flags: np.ndarray) -> np.ndarray:
-    """Row-wise ``highest_set_lane(ballot(flags))``: index of the highest
-    True column, or -1 for all-False rows (the NONE_TID case)."""
-    ncols = flags.shape[1]
-    tid = (ncols - 1) - np.argmax(flags[:, ::-1], axis=1)
-    tid[~flags.any(axis=1)] = C.NONE_TID
-    return tid
-
-
 def _owner_array(owner, m: int) -> np.ndarray:
     if owner is None:
         return np.zeros(m, dtype=np.int64)
     return np.asarray(owner, dtype=np.int64)
 
 
-def _traverse(sls, owner: np.ndarray, keys: np.ndarray, tracer,
+class _Charges:
+    """The accesses and issue slots of one kernel call, charged to the
+    tracer in one segmented
+    :meth:`~repro.gpu.tracer.TransactionTracer.access_words_batch` call.
+
+    Each :meth:`access` is one wave step (one segment).  :meth:`flush`
+    charges everything collected so far in issue order; a kernel calls
+    it once at its end, and earlier only right before a fallback
+    generator charges the same tracer — the L2 is an LRU, so the order
+    in which accesses reach it is part of the modeled clock.
+    """
+
+    def __init__(self, tracer):
+        self.tracer = tracer
+        self.segments: list[tuple] = []
+        self.compute = 0
+
+    def access(self, addrs, n_words, *, coalesced: bool = True,
+               atomic: bool = False) -> None:
+        """One access per address, plus one issue slot each."""
+        if self.tracer is not None:
+            self.segments.append((addrs, n_words, coalesced, atomic))
+            self.compute += len(addrs)
+
+    def flush(self) -> None:
+        if self.tracer is None:
+            return
+        if self.segments:
+            self.tracer.access_words_batch(self.segments)
+            self.segments = []
+        if self.compute:
+            self.tracer.record_compute(self.compute)
+            self.compute = 0
+
+
+# Column offsets of a word's key (low) and value (high) 32-bit halves in
+# a uint32 view of uint64 words.
+_LO, _HI = (0, 1) if sys.byteorder == "little" else (1, 0)
+
+
+def _ballot_le(K: np.ndarray, kk: np.ndarray, lanes: np.ndarray
+               ) -> np.ndarray:
+    """Row-wise ``highest_set_lane(ballot(K <= k))``: the highest data
+    lane whose key is ``<= k``, or ``NONE_TID`` (-1) when none is."""
+    return np.where(K <= kk[:, None], lanes, C.NONE_TID).max(axis=1)
+
+
+def _traverse(sls, owner: np.ndarray, keys: np.ndarray, charges: _Charges,
               record_path: bool, track_upper: bool = False):
     """The shared lock-step descent + bottom-level lateral walk, fused
     across the instances in ``sls`` (``owner[i]`` names ``keys[i]``'s
-    instance; all instances share one memory/geometry).
+    instance; all instances share one memory/geometry).  Every step's
+    chunk reads are collected in ``charges``.
 
     Returns ``(found, paths, upper, fallback, diag)``: bool arrays
     aligned with ``keys`` (``paths`` is the per-op ``search_slow`` path
@@ -123,12 +167,16 @@ def _traverse(sls, owner: np.ndarray, keys: np.ndarray, tracer,
     non-fallback ops, since the descent visits the enclosing chunk of
     every level), the list of op indices that must be replayed through
     their generator, and the per-call diagnostics dict.
+
+    The in-flight searches are kept as compacted arrays — row ``r`` is
+    op ``g[r]``, in ascending op order — and a row is retired as soon as
+    its search finishes or falls back.  A row descends while its height
+    is above 0 and walks the bottom level laterally once it is 0.
     """
     m = int(keys.size)
     geo = sls[0].geo
     words = sls[0].ctx.mem.raw()
     dsize, n = geo.dsize, geo.n
-    mask32 = np.uint64(C.MASK32)
     S = len(sls)
     max_levels = np.fromiter((s.layout.max_level for s in sls),
                              dtype=np.int64, count=S)
@@ -142,150 +190,119 @@ def _traverse(sls, owner: np.ndarray, keys: np.ndarray, tracer,
                              dtype=np.int64, count=S)
     chunk_bases = np.fromiter((s.layout.chunks_base for s in sls),
                               dtype=np.int64, count=S)
-    if tracer is not None:
-        tracer.access_words_batch(head_bases[owner], max_levels[owner],
-                                  coalesced=True)
-        tracer.record_compute(m)
-    counts = np.zeros((S, width), dtype=np.int64)
-    ptrs = np.zeros((S, width), dtype=np.int64)
-    height0 = np.zeros(S, dtype=np.int64)
-    for si in range(S):
-        ml = int(max_levels[si])
-        head = words[head_bases[si]: head_bases[si] + ml]
-        counts[si, :ml] = (head & mask32).astype(np.int64)
-        ptrs[si, :ml] = (head >> np.uint64(32)).astype(np.int64)
-        nz = np.nonzero(counts[si, :ml] > 0)[0]
-        height0[si] = int(nz[-1]) if nz.size else 0
+    charges.access(head_bases[owner], max_levels[owner])
+    # Each instance's head array as one row; levels past an instance's
+    # own max_level read as pointer 0, count 0.
+    lv = np.arange(width, dtype=np.int64)
+    valid = lv < max_levels[:, None]
+    head = words[head_bases[:, None] + np.where(valid, lv, 0)
+                 ].view(np.uint32)
+    ptrs = np.where(valid, head[:, _HI::2], 0).astype(np.int64)
+    height0 = np.where(valid & (head[:, _LO::2] > 0), lv, 0).max(axis=1)
 
-    cbase = chunk_bases[owner]
-    height = height0[owner].copy()
-    pcurr = ptrs[owner, height]
-    phase = np.where(height > 0, _DOWN, _LATERAL).astype(np.int8)
-    prev = np.zeros((m, n), dtype=np.uint64)
-    prev_ptr = np.zeros(m, dtype=np.int64)
-    have_prev = np.zeros(m, dtype=bool)
     found = np.zeros(m, dtype=bool)
     upper = np.zeros(m, dtype=bool)
-    active = np.ones(m, dtype=bool)
     # The "artificial array": every level defaults to its head chunk —
     # always a valid lateral starting point (search_slow does the same).
-    paths = ptrs[owner].copy() if record_path else None
+    paths = ptrs[owner] if record_path else None
     fallback: list[int] = []
-    offs = np.arange(n, dtype=np.int64)
-    steps = 0
     diag = _fresh_diag(m)
 
-    while True:
-        act = np.nonzero(active)[0]
-        if act.size == 0:
-            break
+    # In-flight rows.  prev_ptr is the chunk of the row's last lateral
+    # step on its current level, or -1: the backtrack target.  Memory is
+    # quiescent, so a backtrack re-reads that chunk's words instead of
+    # keeping a copy (it was charged when the step read it).
+    g = np.arange(m, dtype=np.int64)
+    kk = keys.astype(np.uint32)         # user keys fit the key half
+    cb = chunk_bases[owner]
+    height = height0[owner]
+    pcurr = ptrs[owner, height]
+    prev_ptr = np.full(m, -1, dtype=np.int64)
+    lanes = np.arange(dsize, dtype=np.int64)
+    offs = np.arange(n, dtype=np.int64)
+    k_cols = slice(_LO, 2 * dsize, 2)
+    max_col, next_col = 2 * geo.next_idx + _LO, 2 * geo.next_idx + _HI
+    zombie = np.uint64(C.ZOMBIE)
+    steps = 0
+
+    while g.size:
         steps += 1
         if steps > 100_000:  # corrupted structure: let the generators
-            fallback.extend(act.tolist())  # raise a precise fault
-            active[act] = False
-            diag["fallback_stuck"] += act.size
+            fallback.extend(g.tolist())  # raise a precise fault
+            diag["fallback_stuck"] += g.size
             break
 
-        addrs = cbase[act] + pcurr[act] * n
-        if tracer is not None:
-            tracer.access_words_batch(addrs, n, coalesced=True)
-            tracer.record_compute(act.size)
+        addrs = cb + pcurr * n
+        charges.access(addrs, n)
         W = words[addrs[:, None] + offs]
-        keys_m = (W & mask32).astype(np.int64)
-        vals_m = (W >> np.uint64(32)).astype(np.int64)
-        zomb = W[:, geo.lock_idx] == np.uint64(C.ZOMBIE)
-        maxf = keys_m[:, geo.next_idx]
-        nxt = vals_m[:, geo.next_idx]
-        kk = keys[act]
-        ph = phase[act]
+        H = W.view(np.uint32)
+        K = H[:, k_cols]
+        zomb = W[:, geo.lock_idx] == zombie
+        downs = height > 0
+        # Move right: the key lies beyond this chunk (the max-field lane
+        # of the ballot), or the chunk is a frozen zombie.  A live
+        # descent-level chunk passed this way is the backtrack target.
+        adv = (H[:, max_col] < kk) | zomb
+        np.copyto(prev_ptr, pcurr, where=downs & adv & ~zomb)
+        np.copyto(pcurr, H[:, next_col], where=adv)
+        retire = ~(downs | adv)                 # bottom level: done
 
         # ---- descent rows (Algorithms 4.2 / 4.6) -------------------------
-        downs = ph == _DOWN
-        zd = downs & zomb                       # skip frozen zombies
-        if zd.any():
-            pcurr[act[zd]] = nxt[zd]
-        live_d = downs & ~zomb
-        if live_d.any():
-            flags = np.concatenate(
-                [keys_m[:, :dsize] <= kk[:, None], (maxf < kk)[:, None]],
-                axis=1)
-            tid = _highest_true_lane(flags)
-
-            lat = live_d & (tid == dsize)       # lateral step
-            if lat.any():
-                g = act[lat]
-                prev[g] = W[lat]
-                prev_ptr[g] = pcurr[g]
-                have_prev[g] = True
-                pcurr[g] = nxt[lat]
-
-            down = live_d & (tid >= 0) & (tid < dsize)   # down step
-            if down.any():
-                g = act[down]
-                rows = np.nonzero(down)[0]
+        desc = downs & ~adv
+        if desc.any():
+            tid = _ballot_le(K, kk, lanes)
+            dn = np.nonzero(desc & (tid >= 0))[0]     # down step
+            if dn.size:
                 if track_upper:
                     # The down-step chunk *is* the key's enclosing chunk
                     # at this (≥ 1) level, so an equality hit here is an
                     # exact upper-level presence test.
-                    hit = (keys_m[rows, :dsize] == kk[down][:, None]) \
-                        .any(axis=1)
-                    upper[g[hit]] = True
+                    hit = (K[dn] == kk[dn, None]).any(axis=1)
+                    upper[g[dn[hit]]] = True
                 if record_path:
-                    paths[g, height[g]] = pcurr[g]
-                pcurr[g] = vals_m[rows, tid[down]]
-                height[g] -= 1
-                have_prev[g] = False
-                phase[g[height[g] == 0]] = _LATERAL
-
-            none = live_d & (tid == C.NONE_TID)          # backtrack
-            if none.any():
-                hp = have_prev[act].copy()  # snapshot: the bt branch below
-                bt = none & hp              # clears have_prev in place
-                if bt.any():
-                    g = act[bt]
-                    pk = (prev[g] & mask32).astype(np.int64)[:, :dsize]
-                    tidb = _highest_true_lane(pk <= kk[bt][:, None])
+                    paths[g[dn], height[dn]] = pcurr[dn]
+                pcurr[dn] = H[dn, 2 * tid[dn] + _HI]
+                height[dn] -= 1
+                prev_ptr[dn] = -1
+            none = np.nonzero(desc & (tid < 0))[0]
+            if none.size:
+                has_prev = prev_ptr[none] >= 0
+                bt, rs = none[has_prev], none[~has_prev]
+                if bt.size:                           # backtrack
+                    P = words[(cb[bt] + prev_ptr[bt] * n)[:, None] + offs
+                              ].view(np.uint32)
+                    pk = P[:, k_cols]
+                    tidb = _ballot_le(pk, kk[bt], lanes)
                     if track_upper:
-                        hitb = (pk == kk[bt][:, None]).any(axis=1)
-                        upper[g[hitb]] = True
+                        hitb = (pk == kk[bt, None]).any(axis=1)
+                        upper[g[bt[hitb]]] = True
                     ok = tidb >= 0
-                    gg = g[ok]
-                    rows = np.nonzero(ok)[0]
+                    b = bt[ok]
                     if record_path:
-                        paths[gg, height[gg]] = prev_ptr[gg]
-                    pv = (prev[g] >> np.uint64(32)).astype(np.int64)
-                    pcurr[gg] = pv[rows, tidb[ok]]
-                    height[gg] -= 1
-                    have_prev[gg] = False
-                    phase[gg[height[gg] == 0]] = _LATERAL
-                    bad_g = g[~ok]
-                    fallback.extend(bad_g.tolist())
-                    active[bad_g] = False
-                    diag["fallback_backtrack"] += bad_g.size
-                rs = none & ~hp                 # the lock-free restart —
-                if rs.any():                    # unreachable when quiescent
-                    g = act[rs]
-                    fallback.extend(g.tolist())
-                    active[g] = False
-                    diag["fallback_restart"] += g.size
+                        paths[g[b], height[b]] = prev_ptr[b]
+                    pcurr[b] = P[ok, 2 * tidb[ok] + _HI]
+                    height[b] -= 1
+                    prev_ptr[b] = -1
+                    bad = bt[~ok]
+                    fallback.extend(g[bad].tolist())
+                    retire[bad] = True
+                    diag["fallback_backtrack"] += bad.size
+                # The lock-free restart: unreachable when quiescent.
+                fallback.extend(g[rs].tolist())
+                retire[rs] = True
+                diag["fallback_restart"] += rs.size
 
         # ---- bottom-level lateral rows (Algorithm 4.4) -------------------
-        lats = ph == _LATERAL
-        if lats.any():
-            flags2 = np.concatenate(
-                [keys_m[:, :dsize] == kk[:, None], (maxf < kk)[:, None]],
-                axis=1)
-            tid2 = _highest_true_lane(flags2)
-            step = lats & ((tid2 == dsize) | zomb)
-            if step.any():
-                pcurr[act[step]] = nxt[step]
-            done = lats & ~step
-            if done.any():
-                g = act[done]
-                if record_path:
-                    paths[g, 0] = pcurr[g]      # the enclosing chunk
-                found[g] = tid2[done] != C.NONE_TID
-                active[g] = False
+        if retire.any():
+            fin = np.nonzero(retire & ~downs)[0]
+            gf = g[fin]
+            if record_path:
+                paths[gf, 0] = pcurr[fin]       # the enclosing chunk
+            found[gf] = (K[fin] == kk[fin, None]).any(axis=1)
+            keep = ~retire
+            g, kk, cb = g[keep], kk[keep], cb[keep]
+            pcurr, height, prev_ptr = pcurr[keep], height[keep], \
+                prev_ptr[keep]
 
     return found, paths, upper, fallback, diag
 
@@ -338,8 +355,10 @@ def contains_multi(sls, owner, keys: np.ndarray, tracer=None) -> np.ndarray:
         return np.zeros(0, dtype=bool)
     owner = _owner_array(owner, keys.size)
     _check_keys(sls[0], keys)
+    charges = _Charges(tracer)
     found, _paths, _upper, fallback, diag = _traverse(
-        sls, owner, keys, tracer, record_path=False)
+        sls, owner, keys, charges, record_path=False)
+    charges.flush()
     for si, cnt in enumerate(
             _count_per_owner(sls, owner, np.arange(keys.size), fallback)):
         sls[si].op_stats.contains_calls += int(cnt)
@@ -360,8 +379,10 @@ def search_multi(sls, owner, keys: np.ndarray, tracer=None):
                 np.zeros((0, sls[0].layout.max_level), dtype=np.int64))
     owner = _owner_array(owner, keys.size)
     _check_keys(sls[0], keys)
+    charges = _Charges(tracer)
     found, paths, _upper, fallback, diag = _traverse(
-        sls, owner, keys, tracer, record_path=True)
+        sls, owner, keys, charges, record_path=True)
+    charges.flush()
     _search_fallback(sls, owner, keys, tracer, fallback, found, paths)
     _publish_diag(diag)
     return found, paths
@@ -502,9 +523,12 @@ def update_wave(sls, owner, ops: np.ndarray, keys: np.ndarray,
                 np.zeros((0, lay0.max_level), dtype=np.int64))
     owner = _owner_array(owner, m)
     _check_keys(sls[0], keys)
+    charges = _Charges(tracer)
     found, paths, upper, fallback, diag = _traverse(
-        sls, owner, keys, tracer, record_path=True, track_upper=True)
-    _search_fallback(sls, owner, keys, tracer, fallback, found, paths)
+        sls, owner, keys, charges, record_path=True, track_upper=True)
+    if fallback:
+        charges.flush()     # the fallback searches charge the tracer
+        _search_fallback(sls, owner, keys, tracer, fallback, found, paths)
 
     clean = np.ones(m, dtype=bool)
     clean[fallback] = False
@@ -530,17 +554,13 @@ def update_wave(sls, owner, ops: np.ndarray, keys: np.ndarray,
     results[batched] = True
 
     if addrs.size:
-        g = int(addrs.size)
         n_batched = int(batched.size)
-        if tracer is not None:
-            # Phase 1 — lock acquire: one scalar atomic CAS per group.
-            tracer.access_words_batch(addrs + geo.lock_idx, 1,
-                                      coalesced=False, atomic=True)
-            tracer.record_compute(g)
-            # Phase 2 — coalesced re-read under the lock (the
-            # find_and_lock_enclosing line-16 re-validation).
-            tracer.access_words_batch(addrs, n, coalesced=True)
-            tracer.record_compute(g)
+        # Phase 1 — lock acquire: one scalar atomic CAS per group.
+        charges.access(addrs + geo.lock_idx, 1, coalesced=False,
+                       atomic=True)
+        # Phase 2 — coalesced re-read under the lock (the
+        # find_and_lock_enclosing line-16 re-validation).
+        charges.access(addrs, n)
         # The scatter below bypasses the GlobalMemory mutators, so the
         # snapshot-epoch write barrier (pre-images for pinned readers)
         # must be notified explicitly before the wave publishes.
@@ -552,12 +572,10 @@ def update_wave(sls, owner, ops: np.ndarray, keys: np.ndarray,
             if mgr is not None:
                 mgr.note_publish("batch_wave")
         words[addrs[:, None] + np.arange(n, dtype=np.int64)] = images
-        if tracer is not None:
-            # Phase 3 — publish: one coalesced chunk-wide store carrying
-            # data, boundary, and lock release.
-            tracer.access_words_batch(addrs, n, coalesced=True)
-            tracer.record_compute(g)
-            tracer.record_compute(n_batched)   # the modify work itself
+        # Phase 3 — publish: one coalesced chunk-wide store carrying
+        # data, boundary, and lock release.
+        charges.access(addrs, n)
+        charges.compute += n_batched        # the modify work itself
         groups = np.bincount(shard, minlength=S)
         is_ins = ops[batched] == _OP_INSERT
         n_ins = np.bincount(owner[batched[is_ins]], minlength=S)
@@ -572,6 +590,7 @@ def update_wave(sls, owner, ops: np.ndarray, keys: np.ndarray,
                     mc.lock_released += int(groups[si])
                     mc.chunk_reads += int(groups[si])
         diag["batched"] = n_batched
+    charges.flush()
     diag["fallback_conflict"] = int(np.count_nonzero(~handled))
     _publish_diag(diag)
     return results, handled, found, paths

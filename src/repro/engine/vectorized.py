@@ -22,9 +22,10 @@ engine two batching opportunities per wave:
 
 * **Homogeneous event groups.** The wave's remaining generators advance
   in lock-step; each tick's ``ChunkRead``/``WordRead`` events are
-  grouped and dispatched through one fancy-index against
-  :meth:`~repro.gpu.memory.GlobalMemory.raw` plus one
-  :meth:`~repro.gpu.tracer.TransactionTracer.access_words_batch` call.
+  grouped and dispatched through one fancy-index per group against
+  :meth:`~repro.gpu.memory.GlobalMemory.raw` plus one segmented
+  :meth:`~repro.gpu.tracer.TransactionTracer.access_words_batch` call
+  for the whole tick.
   All other events (CAS, atomics, writes, compute) go through the
   ordinary :func:`~repro.gpu.scheduler.execute_event` in slot order, so
   the tick is just one deterministic round-robin round.
@@ -164,23 +165,25 @@ def run_wave_generators(tasks, mem: GlobalMemory,
             else:
                 others.append(t)
 
+        # One accounting call per tick: the chunk groups, then the word
+        # reads — the order the tick issues them in.
+        segments = []
         for n, group in chunk_groups.items():
             addrs = np.fromiter((t.event.addr for t in group),
                                 dtype=np.int64, count=len(group))
-            if tracer is not None:
-                tracer.access_words_batch(addrs, n, coalesced=True)
-                tracer.record_compute(len(group))
+            segments.append((addrs, n, True, False))
             rows = raw[addrs[:, None] + np.arange(n, dtype=np.int64)]
             for i, t in enumerate(group):
                 t.pending = rows[i]
         if word_tasks:
             addrs = np.fromiter((t.event.addr for t in word_tasks),
                                 dtype=np.int64, count=len(word_tasks))
-            if tracer is not None:
-                tracer.access_words_batch(addrs, 1, coalesced=False)
-                tracer.record_compute(len(word_tasks))
+            segments.append((addrs, 1, False, False))
             for t, value in zip(word_tasks, raw[addrs].tolist()):
                 t.pending = value
+        if tracer is not None and segments:
+            tracer.access_words_batch(segments)
+            tracer.record_compute(len(live) - len(others))
         for t in others:
             t.pending = execute_event(t.event, mem, tracer)
     if spans is not None:

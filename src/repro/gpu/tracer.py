@@ -11,7 +11,8 @@ line covered by the requests").  Thus:
 
 Each transaction is classified by the L2 model as a hit or a DRAM access;
 the :class:`TraceStats` counters feed the cycle model in
-:mod:`repro.gpu.timing`.
+:mod:`repro.gpu.timing`.  The L2 and the TLB are LRUs, so the order in
+which lines reach them is part of the modeled clock.
 """
 
 from __future__ import annotations
@@ -62,12 +63,24 @@ class TraceStats:
         return self.l2_hit_transactions / self.transactions if self.transactions else 0.0
 
 
+_SEG_SHIFT = 40   # (segment, address) keys: addresses stay below 2**40
+
+
+def _first_occurrences(seg: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Indices of the first occurrence of each distinct ``(seg, val)``
+    pair, in order of occurrence."""
+    key = (seg << _SEG_SHIFT) | vals
+    return np.sort(np.unique(key, return_index=True)[1])
+
+
 class TransactionTracer:
     """Maps memory events onto cache-line transactions and tallies cost.
 
-    The tracer owns the device's L2 model.  All device accesses funnel
-    through :meth:`access_words`; the trampoline in
-    :mod:`repro.gpu.scheduler` calls it for every memory event.
+    The tracer owns the device's L2 model.  Device accesses funnel
+    through two entry points: :meth:`access_words`, which the trampoline
+    in :mod:`repro.gpu.scheduler` calls for every memory event, and
+    :meth:`access_words_batch`, which charges a whole batched kernel
+    call (an ordered list of wave steps) at once.
     """
 
     def __init__(self, device: DeviceConfig):
@@ -150,67 +163,101 @@ class TransactionTracer:
             tlb[page] = None
         self.stats.tlb_misses += misses
 
-    def access_words_batch(self, addrs, n_words, *, coalesced: bool,
-                           atomic: bool = False) -> int:
-        """Record one access of ``n_words`` words for every address in
-        ``addrs`` — the batched equivalent of looping :meth:`access_words`.
+    def access_words_batch(self, segments) -> int:
+        """Record an ordered list of batched accesses — the accounting of
+        one whole kernel call; returns the number of transactions issued.
+
+        Each segment is ``(addrs, n_words, coalesced, atomic)``: one
+        access of ``n_words`` words at every address in ``addrs``.
         ``n_words`` may be a scalar or an array aligned with ``addrs``
         (per-access widths, e.g. per-shard head arrays of different
-        heights).
+        heights).  A segment is one homogeneous wave step — a traversal
+        iteration, or one lock / re-read / publish phase of the batched
+        critical sections.
 
-        Used by the vectorized batch engine: one wave step issues many
-        homogeneous accesses at once.  Classification is identical to the
-        sequential loop except that a line (or TLB page) already touched
-        *within the same batch* counts as a hit without consulting the
-        model again — faithful to hardware, where the first access of a
-        warp-synchronous wave leaves the line MRU-resident for the rest.
-        Returns the number of transactions issued.
+        Classification is exactly that of one call per segment, in
+        order: within a segment, a line (or TLB page) already touched
+        counts as a hit without consulting the model again — faithful
+        to hardware, where the first access of a warp-synchronous step
+        leaves the line MRU-resident for the rest — while a repeat in a
+        later segment goes through the model.  The L2 and the TLB are
+        LRUs, so the order in which distinct lines reach them is part
+        of the modeled clock: segments are charged in list order and
+        lines in first-occurrence order within each.  All pages go
+        through one TLB pass, and the lines through one
+        :meth:`L2Cache.access_many` call per run of segments with the
+        same access class (coalesced or scattered).
         """
-        addrs = np.asarray(addrs, dtype=np.int64)
-        m = int(addrs.size)
+        k = len(segments)
+        seg_addrs = [np.asarray(s[0], dtype=np.int64) for s in segments]
+        sizes = np.fromiter(map(len, seg_addrs), dtype=np.int64, count=k)
+        m = int(sizes.sum())
         if m == 0:
             return 0
         stats = self.stats
+        seg = np.repeat(np.arange(k, dtype=np.int64), sizes)
+        addrs = np.concatenate(seg_addrs)
+        # Per-access widths: each scalar width repeated over its segment,
+        # then the per-access width arrays copied in.
+        widths = [s[1] for s in segments]
+        nw = np.repeat(np.fromiter((0 if isinstance(w, np.ndarray) else w
+                                    for w in widths), dtype=np.int64,
+                                   count=k), sizes)
+        end = 0
+        for w, size in zip(widths, sizes.tolist()):
+            end += size
+            if isinstance(w, np.ndarray):
+                nw[end - size: end] = w
 
-        # TLB: run unique pages (first-occurrence order) through the LRU;
-        # repeats within the batch are guaranteed hits.
+        # TLB: each segment's distinct pages, first-occurrence order.
         pages = addrs // self.tlb_page_words
-        uniq_pages, first_idx = np.unique(pages, return_index=True)
-        self._tlb_access_many(uniq_pages[np.argsort(first_idx)].tolist())
+        self._tlb_access_many(
+            pages[_first_occurrences(seg, pages)].tolist())
 
         # Lines covered by each access (chunk accesses span 1–2 lines).
         wpl = self.words_per_line
-        nw = np.asarray(n_words, dtype=np.int64)
         first = addrs // wpl
-        last = (addrs + (nw - 1)) // wpl
-        counts = last - first + 1
+        counts = (addrs + (nw - 1)) // wpl - first + 1
         total = int(counts.sum())
         if total == m:
-            lines = first
+            lines, line_seg = first, seg
         else:
             starts = np.repeat(first, counts)
             offs = np.arange(total) - np.repeat(np.cumsum(counts) - counts,
                                                 counts)
-            lines = starts + offs
-        uniq_lines, first_idx = np.unique(lines, return_index=True)
-        hits, misses = self.l2.access_many(
-            uniq_lines[np.argsort(first_idx)].tolist())
-        dup_hits = total - int(uniq_lines.size)  # in-batch repeats: hits
+            lines, line_seg = starts + offs, np.repeat(seg, counts)
+        keep = _first_occurrences(line_seg, lines)
+        uniq_lines, uniq_seg = lines[keep], line_seg[keep]
+
+        coalesced = np.fromiter((s[2] for s in segments), dtype=bool,
+                                count=k)
+        # Per class (0 scattered, 1 coalesced): the model's hits and
+        # misses, plus in-segment repeats, which are hits.
+        line_co = coalesced[line_seg]
+        uniq_co = coalesced[uniq_seg]
+        hits = (np.bincount(line_co, minlength=2)
+                - np.bincount(uniq_co, minlength=2)).tolist()
+        misses = [0, 0]
+        cuts = np.flatnonzero(uniq_co[1:] != uniq_co[:-1]) + 1
+        bounds = ([0, *cuts.tolist(), int(uniq_lines.size)]
+                  if uniq_lines.size else [])
+        for lo, hi in zip(bounds, bounds[1:]):
+            h, mi = self.l2.access_many(uniq_lines[lo:hi].tolist())
+            cls = int(uniq_co[lo])
+            hits[cls] += h
+            misses[cls] += mi
         stats.transactions += total
-        stats.l2_hit_transactions += hits + dup_hits
-        stats.dram_transactions += misses
-        if coalesced:
-            stats.l2_coalesced += hits + dup_hits
-            stats.dram_coalesced += misses
-            stats.coalesced_accesses += m
-        else:
-            stats.l2_scattered += hits + dup_hits
-            stats.dram_scattered += misses
-            stats.scalar_accesses += m
-        if atomic:
-            stats.atomic_ops += m
-        stats.bytes_requested += int(nw.sum()) * WORD_BYTES if nw.ndim \
-            else m * int(nw) * WORD_BYTES
+        stats.l2_hit_transactions += hits[0] + hits[1]
+        stats.dram_transactions += misses[0] + misses[1]
+        stats.l2_scattered += hits[0]
+        stats.l2_coalesced += hits[1]
+        stats.dram_scattered += misses[0]
+        stats.dram_coalesced += misses[1]
+        n_co = int(sizes[coalesced].sum())
+        stats.coalesced_accesses += n_co
+        stats.scalar_accesses += m - n_co
+        stats.atomic_ops += int(sizes[[bool(s[3]) for s in segments]].sum())
+        stats.bytes_requested += int(nw.sum()) * WORD_BYTES
         return total
 
     def record_atomic_conflicts(self, n: int) -> None:

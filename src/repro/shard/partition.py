@@ -21,6 +21,7 @@ numpy pass per batch — the router's hot path).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -87,8 +88,20 @@ class RangePartitioner:
         part.name = "sampled"
         return part
 
+    @property
+    def boundaries(self) -> np.ndarray:
+        return self._boundaries
+
+    @boundaries.setter
+    def boundaries(self, value) -> None:
+        self._boundaries = np.asarray(value, dtype=np.int64)
+        self._bounds_list = self._boundaries.tolist()
+
     def shard_of(self, key: int) -> int:
-        return int(self.shard_of_array(np.asarray([key], dtype=np.int64))[0])
+        """Scalar lookup: :meth:`shard_of_array`'s search and clamp over
+        a Python list, with no numpy call per key."""
+        sid = bisect_right(self._bounds_list, key) - 1
+        return min(max(sid, 0), self.n_shards - 1)
 
     def shard_of_array(self, keys) -> np.ndarray:
         keys = np.asarray(keys, dtype=np.int64)

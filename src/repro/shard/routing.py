@@ -24,6 +24,8 @@ it (the table still works as a static generation-0 router).
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 from .partition import Partitioner
@@ -37,8 +39,10 @@ class RoutingTable:
         self.n_shards = int(partitioner.n_shards)
         #: Current (latest published) generation number.
         self.generation = 0
-        # generation (>= 1) -> (boundaries int64[S], owners int64[S]).
+        # generation (>= 1) -> (boundaries int64[S], owners int64[S]),
+        # and the same pair as Python lists for scalar lookups.
         self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._lists: dict[int, tuple[list[int], list[int]]] = {}
         #: One record per published move (the migration-event material).
         self.history: list[dict] = []
 
@@ -57,11 +61,14 @@ class RoutingTable:
         return owners[np.clip(seg, 0, len(owners) - 1)]
 
     def shard_of(self, key: int, generation: int | None = None) -> int:
+        """Scalar lookup: :meth:`shard_of_array`'s search and clamp over
+        Python lists, with no numpy call per key."""
         gen = self.generation if generation is None else int(generation)
         if gen == 0:
             return self.partitioner.shard_of(key)
-        return int(self.shard_of_array(
-            np.asarray([key], dtype=np.int64), gen)[0])
+        boundaries, owners = self._lists[gen]
+        seg = bisect_right(boundaries, key) - 1
+        return owners[min(max(seg, 0), len(owners) - 1)]
 
     # -- table materialisation -------------------------------------------
     def _materialize(self, generation: int | None = None
@@ -143,6 +150,7 @@ class RoutingTable:
         self.generation += 1
         self._tables[self.generation] = (np.asarray(cb, dtype=np.int64),
                                          np.asarray(co, dtype=np.int64))
+        self._lists[self.generation] = (cb, co)
         self.history.append({
             "generation": self.generation, "lo": int(lo), "hi": int(hi),
             "dst": int(dst),

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.shard import RoutingTable, make_partitioner
+from repro.shard.partition import RangePartitioner
 
 KEY_RANGE = 4_096
 
@@ -84,3 +87,31 @@ def test_publish_move_validates_inputs():
         rt.publish_move(1, 2, dst=4)
     with pytest.raises(ValueError, match="empty"):
         rt.publish_move(20, 10, dst=1)
+
+
+_MOVES = st.lists(
+    st.tuples(st.integers(1, KEY_RANGE), st.integers(0, 200),
+              st.integers(0, 3)),
+    max_size=6)
+# Keys below 1 and above the key range clamp into the end shards.
+_KEYS = st.lists(st.integers(-50, KEY_RANGE + 200) | st.just(2**32),
+                 min_size=1, max_size=40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(moves=_MOVES, keys=_KEYS,
+       sample=st.lists(st.integers(1, KEY_RANGE), max_size=30))
+def test_scalar_lookup_matches_the_array_lookup_on_every_generation(
+        moves, keys, sample):
+    parts = [make_partitioner("range", 4, KEY_RANGE),
+             RangePartitioner.from_sample(4, KEY_RANGE, sample)]
+    for part in parts:
+        rt = RoutingTable(part)
+        for lo, span, dst in moves:
+            rt.publish_move(lo, lo + span, dst=dst)
+        arr = np.asarray(keys, dtype=np.int64)
+        assert [part.shard_of(k) for k in keys] \
+            == part.shard_of_array(arr).tolist()
+        for gen in range(rt.generation + 1):
+            assert [rt.shard_of(k, gen) for k in keys] \
+                == rt.shard_of_array(arr, gen).tolist()
